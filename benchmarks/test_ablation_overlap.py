@@ -26,7 +26,8 @@ RANKS = 192
 def overlap_gain(run, n_ranks: int) -> tuple[float, float]:
     """(plain evaluate-region time, pipelined time) under the model."""
     machine = HITS_CLUSTER
-    dist = run.distribution(n_ranks, use_mps=True)
+    # the paper's own -Q practice: cyclic at few partitions, MPS at many
+    dist = run.distribution(n_ranks)
     seconds = rank_second_vectors(run.meta, machine, dist)
     compute = float(seconds[OpKind.EVALUATE].max())
     p = run.meta.n_partitions

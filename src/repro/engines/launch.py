@@ -42,7 +42,8 @@ from repro.likelihood.partitioned import PartitionData, PartitionedLikelihood
 from repro.obs.progress import NULL_PROGRESS
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.par.comm import Comm
-from repro.par.faultcomm import FaultInjectingComm, FaultPlan
+from repro.par.faultcomm import FaultInjector, FaultPlan
+from repro.par.hooks import CommHook, HookedComm
 from repro.par.mpcomm import run_mpi
 from repro.search.search import SearchConfig, hill_climb
 from repro.tree.newick import parse_newick, write_newick
@@ -89,24 +90,6 @@ def _rebuild_tree(newick: str, n_branch_sets: int) -> Tree:
     return tree
 
 
-def _maybe_inject(comm: Comm, payload: dict[str, Any]) -> Comm:
-    plan: FaultPlan | None = payload.get("fault_plan")
-    if plan is not None and comm.size > 1:
-        return FaultInjectingComm(comm, plan)
-    return comm
-
-
-def _maybe_sanitize(comm: Comm, payload: dict[str, Any]) -> Comm:
-    """Innermost wrapper (fault injection and tracing stack on top): the
-    injector must count application collectives, not the sanitizer's
-    control rounds, and spans should time the checked call as one unit."""
-    if payload.get("sanitize") and comm.size > 1:
-        from repro.par.sanitize import SanitizingComm
-
-        return SanitizingComm(comm)
-    return comm
-
-
 def _prepare_trace_dir(trace_dir: str | Path | None) -> str | None:
     """Create the trace directory in the parent, before ranks fork."""
     if trace_dir is None:
@@ -116,34 +99,25 @@ def _prepare_trace_dir(trace_dir: str | Path | None) -> str | None:
     return str(path)
 
 
-def _make_telemetry(comm: Comm, payload: dict[str, Any], world_rank: int):
+def _make_telemetry(payload: dict[str, Any], world_rank: int):
     """Build the live-telemetry side channel for one rank.
 
-    Returns ``(comm, heartbeat_writer, progress_reporter)``.  When
-    ``monitor_dir`` is unset this is the zero-cost path: no wrapper, no
-    thread, no files — just the shared :data:`NULL_PROGRESS`.
-
-    The monitored wrapper must sit *inside* fault injection (see the
-    call sites): an injected hang then fires before the heartbeat state
-    records the call, so the hung rank observably never *entered* call
-    ``K`` while its peers freeze *inside* ``K`` — the asymmetry
-    :func:`repro.obs.monitor.diagnose` keys on.  It also sits *outside*
-    the sanitizer, whose control rounds bypass it, keeping the
-    heartbeat call numbering aligned with the injector's.
+    Returns ``(heartbeat_hook, heartbeat_writer, progress_reporter)``.
+    When ``monitor_dir`` is unset this is the zero-cost path: no hook,
+    no thread, no files — just the shared :data:`NULL_PROGRESS`.
     """
     monitor_dir = payload.get("monitor_dir")
     if not monitor_dir:
-        return comm, None, NULL_PROGRESS
+        return None, None, NULL_PROGRESS
     from repro.obs.heartbeat import (
         DEFAULT_BEAT_INTERVAL,
+        HeartbeatHook,
         HeartbeatState,
         HeartbeatWriter,
-        MonitoredComm,
     )
     from repro.obs.progress import ProgressReporter, ProgressStream, progress_path
 
     state = HeartbeatState(world_rank)
-    comm = MonitoredComm(comm, state)
     stream = ProgressStream(progress_path(monitor_dir, world_rank),
                             world_rank)
     reporter = ProgressReporter(state, stream)
@@ -151,7 +125,36 @@ def _make_telemetry(comm: Comm, payload: dict[str, Any], world_rank: int):
         monitor_dir, state,
         interval=payload.get("beat_interval") or DEFAULT_BEAT_INTERVAL,
     ).start()
-    return comm, writer, reporter
+    return HeartbeatHook(state), writer, reporter
+
+
+def _hook_comm(comm: Comm, payload: dict[str, Any], tracer, metrics):
+    """Install this rank's communicator hooks and live telemetry.
+
+    Returns ``(comm, heartbeat_writer, progress_reporter)``.  The hooks
+    go on in the order :mod:`repro.par.hooks` explains: tracing, fault
+    injection, heartbeat, sanitizer.  With none of them requested the
+    transport itself comes back, so an uninstrumented run executes no
+    interception code.
+    """
+    hooks: list[CommHook] = []
+    if tracer.enabled:
+        from repro.obs.instrument import TracingHook
+
+        hooks.append(TracingHook(tracer, metrics))
+    plan: FaultPlan | None = payload.get("fault_plan")
+    if plan is not None and comm.size > 1:
+        hooks.append(FaultInjector(plan, comm.rank))
+    heartbeat, writer, progress = _make_telemetry(payload, comm.rank)
+    if heartbeat is not None:
+        hooks.append(heartbeat)
+    if payload.get("sanitize") and comm.size > 1:
+        from repro.par.sanitize import Sanitizer
+
+        hooks.append(Sanitizer())
+    if hooks:
+        comm = HookedComm(comm, hooks)
+    return comm, writer, progress
 
 
 def _close_telemetry(writer, progress, ok: bool) -> None:
@@ -195,7 +198,7 @@ def _install_cancel_handler(payload: dict[str, Any]) -> None:
 
 def _make_obs(payload: dict[str, Any], world_rank: int):
     """Build (tracer, metrics, profiler) for one rank; the null tracer
-    (no metrics, no profiler, and — crucially — no comm wrapper) when
+    (no metrics, no profiler, and — crucially — no tracing hook) when
     tracing is off.
 
     The launch's ``trace_id`` (an end-to-end lifecycle identity minted
@@ -224,14 +227,6 @@ def _emit_profile(profiler, tracer, metrics, source) -> None:
 
     emit_kernel_profile(profiler, tracer, metrics,
                         clv_sources=() if source is None else (source,))
-
-
-def _wrap_tracing(comm: Comm, tracer, metrics) -> Comm:
-    if not tracer.enabled:
-        return comm
-    from repro.obs.instrument import TracingComm
-
-    return TracingComm(comm, tracer, metrics)
 
 
 def _flush_trace(tracer, payload: dict[str, Any],
@@ -275,9 +270,7 @@ def _decentral_rank(comm: Comm, payload: dict[str, Any]) -> DistributedResult:
     world0 = comm.rank  # original world rank: names the trace stream
     _install_cancel_handler(payload)
     tracer, metrics, profiler = _make_obs(payload, world0)
-    comm, hb_writer, progress = _make_telemetry(
-        _maybe_sanitize(comm, payload), payload, world0)
-    comm = _wrap_tracing(_maybe_inject(comm, payload), tracer, metrics)
+    comm, hb_writer, progress = _hook_comm(comm, payload, tracer, metrics)
     tree = _rebuild_tree(payload["newick"], payload["n_branch_sets"])
     local_parts = split_local_data(
         payload["parts"], comm.rank, comm.size, payload["dist_kind"]
@@ -424,7 +417,7 @@ def run_decentralized(
     original rank numbering, ``recoveries``).
 
     With ``sanitize=True``, every collective is cross-checked across
-    ranks first (:class:`~repro.par.sanitize.SanitizingComm`); replica
+    ranks first (the :class:`~repro.par.sanitize.Sanitizer` hook); replica
     divergence raises
     :class:`~repro.errors.ReplicaDivergenceError` on every rank instead
     of silently drifting or deadlocking.
@@ -487,8 +480,7 @@ def _forkjoin_rank(comm: Comm, payload: dict[str, Any]) -> DistributedResult | N
     world0 = comm.rank
     _install_cancel_handler(payload)
     tracer, metrics, profiler = _make_obs(payload, world0)
-    comm, hb_writer, progress = _make_telemetry(comm, payload, world0)
-    comm = _wrap_tracing(_maybe_inject(comm, payload), tracer, metrics)
+    comm, hb_writer, progress = _hook_comm(comm, payload, tracer, metrics)
     local_parts = split_local_data(
         payload["parts"], comm.rank, comm.size, payload["dist_kind"]
     )

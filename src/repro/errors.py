@@ -55,11 +55,11 @@ class RankFailureError(CommError):
 class ReplicaDivergenceError(CommError):
     """The ranks' replicas issued inconsistent collectives.
 
-    Raised on *every* rank by
-    :class:`~repro.par.sanitize.SanitizingComm` when a cross-rank check
-    finds the ranks disagreeing about the collective they are in — the
-    verb, its Table-I tag, the reduce op, the payload shape, or the hash
-    of the previous collective's (rank-symmetric) result.  Divergence is
+    Raised on *every* rank by the :class:`~repro.par.sanitize.Sanitizer`
+    hook when a cross-rank check finds the ranks disagreeing about the
+    collective they are in — the verb, its Table-I tag, the reduce op,
+    the payload shape, or the hash of the previous collective's
+    (rank-symmetric) result.  Divergence is
     a *program bug*, not a fault: this deliberately derives from
     :class:`CommError` but not :class:`RankFailureError`, so the
     decentralized recovery loop does not try to "recover" from it.

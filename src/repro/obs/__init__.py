@@ -8,9 +8,9 @@ multiprocess runs and closes the loop:
   a zero-cost null tracer;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms for collective
   calls, payload bytes, kernel ops, failures and recoveries;
-* :mod:`repro.obs.instrument` — :class:`TracingComm` /
-  :class:`TracedExecutor` wrappers that instrument any communicator and
-  the lock-step worker kernel without touching semantics;
+* :mod:`repro.obs.instrument` — the :class:`TracingHook` communicator
+  hook and the :class:`TracedExecutor` worker kernel, which instrument
+  collectives and kernel ops without touching semantics;
 * :mod:`repro.obs.export` — per-rank JSONL streams, cross-rank merging,
   Chrome-trace/Perfetto JSON, Prometheus text exposition;
 * :mod:`repro.obs.reconcile` — measured-vs-modeled byte reconciliation
@@ -23,7 +23,7 @@ multiprocess runs and closes the loop:
   ``BENCH_*.json`` records;
 * :mod:`repro.obs.heartbeat` — per-rank heartbeat side channel (status
   files rewritten by a background thread, decoupled from the
-  collective path) plus the :class:`MonitoredComm` wrapper;
+  collective path) plus the :class:`HeartbeatHook` communicator hook;
 * :mod:`repro.obs.progress` — structured in-run progress events
   streamed as JSONL while the search executes;
 * :mod:`repro.obs.monitor` — parent-side stall diagnosis (hung rank vs
@@ -79,7 +79,7 @@ from repro.obs.heartbeat import (
     DEFAULT_BEAT_INTERVAL,
     HeartbeatState,
     HeartbeatWriter,
-    MonitoredComm,
+    HeartbeatHook,
     heartbeat_path,
     read_heartbeat,
     read_heartbeats,
@@ -97,7 +97,7 @@ from repro.obs.hotspots import (
     build_hotspot_report,
     emit_kernel_profile,
 )
-from repro.obs.instrument import TracedExecutor, TracingComm
+from repro.obs.instrument import TracedExecutor, TracingHook
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -188,7 +188,7 @@ __all__ = [
     "MetricsRegistry",
     "merge_snapshots",
     "histogram_quantile",
-    "TracingComm",
+    "TracingHook",
     "TracedExecutor",
     "KERNEL_OP_SPAN",
     "CLV_MEMORY_SPAN",
@@ -218,7 +218,7 @@ __all__ = [
     "DEFAULT_BEAT_INTERVAL",
     "HeartbeatState",
     "HeartbeatWriter",
-    "MonitoredComm",
+    "HeartbeatHook",
     "heartbeat_path",
     "read_heartbeat",
     "read_heartbeats",

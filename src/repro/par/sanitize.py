@@ -1,9 +1,10 @@
 """Runtime replica sanitizer: cross-rank collective-consistency checks.
 
-:class:`SanitizingComm` is the dynamic complement to the replicheck
-static analyzer (:mod:`repro.analysis`).  Wrapped around any
-communicator, it prepends every collective with a small control round
-that cross-checks what each rank *thinks* it is doing:
+:class:`Sanitizer` is the dynamic complement to the replicheck static
+analyzer (:mod:`repro.analysis`).  Installed as the innermost hook of a
+:class:`~repro.par.hooks.HookedComm`, it prepends every collective with
+a small control round on the transport that cross-checks what each
+rank *thinks* it is doing:
 
 1. each rank builds a record of the impending call — call index, verb,
    Table-I ``tag``, reduce op, root, a structural payload signature
@@ -39,9 +40,9 @@ Fault-tolerance interaction: the check rounds use the same
 failure-aware primitives as the payload collectives, so a rank death
 during a check surfaces as the usual
 :class:`~repro.errors.RankFailureError` and recovery proceeds.  On
-:meth:`shrink`, the rewrapped sanitizer resets its call counter and
-result hash — survivors may have been torn out of adjacent collectives,
-so the pre-failure chain must not poison the first post-recovery check.
+``shrink``, the sanitizer resets its call counter and result hash —
+survivors may have been torn out of adjacent collectives, so the
+pre-failure chain must not poison the first post-recovery check.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ from typing import Any
 import numpy as np
 
 from repro.errors import RankFailureError, ReplicaDivergenceError
-from repro.par.comm import Comm, ReduceOp
+from repro.par.hooks import CommCall, CommHook
 
-__all__ = ["SanitizingComm", "SANITIZE_TAG"]
+__all__ = ["Sanitizer", "SANITIZE_TAG"]
 
 #: Tag carried by the sanitizer's own control rounds — visible in
 #: ``bytes_by_tag``/``calls_by_tag`` so its overhead is accountable (and
@@ -152,59 +153,53 @@ def _format_records(records: list[dict]) -> str:
     return "\n".join(lines)
 
 
-class SanitizingComm(Comm):
-    """Cross-rank collective-consistency checking wrapper."""
+# Checked verbs -> (compare the payload signature, chain the result hash).
+# bcast/scatter payloads exist on the root only, so their signatures are
+# not compared; reduce/gather/scatter results differ per rank (None off
+# the root, or one share per rank), so they break the hash chain.
+_CHECKED = {
+    "bcast": (False, True),
+    "reduce": (True, False),
+    "allreduce": (True, True),
+    "barrier": (True, True),
+    "gather": (True, False),
+    "scatter": (False, False),
+}
 
-    def __init__(self, inner: Comm) -> None:
-        self.inner = inner
+
+class Sanitizer(CommHook):
+    """Cross-rank collective-consistency checking hook.
+
+    ``calls`` counts checked collectives; ``_prev`` is the hash of the
+    previous rank-symmetric result.  Both start afresh after a shrink.
+    """
+
+    def __init__(self) -> None:
         self.calls = 0
         self._prev = _NO_HASH
 
-    # -- delegation -------------------------------------------------------- #
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    @property
-    def bytes_by_tag(self):
-        return self.inner.bytes_by_tag
-
-    @property
-    def calls_by_tag(self):
-        return self.inner.calls_by_tag
-
-    def world_rank(self, rank: int) -> int:
-        return self.inner.world_rank(rank)
-
-    def world_ranks(self, ranks) -> tuple[int, ...]:
-        return self.inner.world_ranks(ranks)
-
-    # -- the check --------------------------------------------------------- #
-    def _check(self, verb: str, tag: str, op: ReduceOp | None,
-               root: int | None, sig: str) -> int:
-        """One control round; returns this collective's call index."""
+    def _check(self, call: CommCall, sig: str) -> int:
+        """One control round on the transport; returns this collective's
+        call index."""
         index = self.calls
         self.calls += 1
-        if self.inner.size <= 1:
+        comm = call.comm
+        if comm.size <= 1:
             return index
         record = {
             "index": index,
-            "verb": verb,
-            "tag": tag,
-            "op": op.value if op is not None else "-",
-            "root": root if root is not None else "-",
+            "verb": call.verb,
+            "tag": call.tag,
+            "op": call.op.value if call.op is not None else "-",
+            "root": call.root if call.root is not None else "-",
             "sig": sig,
             "prev": self._prev,
             "site": _call_site(),
         }
         try:
-            records = self.inner.gather(record, root=0, tag=SANITIZE_TAG)
+            records = comm.gather(record, root=0, tag=SANITIZE_TAG)
             verdict = None
-            if self.inner.rank == 0:
+            if comm.rank == 0:
                 keys = [tuple(r[k] for k in _COMPARED) for r in records]
                 if len(set(keys)) > 1:
                     counts: dict[tuple, int] = {}
@@ -217,7 +212,7 @@ class SanitizingComm(Comm):
                                       if key != majority],
                         "details": _format_records(records),
                     }
-            verdict = self.inner.bcast(verdict, root=0, tag=SANITIZE_TAG)
+            verdict = comm.bcast(verdict, root=0, tag=SANITIZE_TAG)
         except RankFailureError:
             # A peer died mid-check; the chain up to here is unusable for
             # the survivors' next comparison.
@@ -231,66 +226,27 @@ class SanitizingComm(Comm):
             )
         return index
 
-    def _run(self, call, symmetric_result: bool) -> Any:
-        """Run the payload collective; chain rank-symmetric results into
-        the next check via their hash."""
+    def around(self, call, proceed):
+        """Check, then run the payload collective; chain rank-symmetric
+        results into the next check via their hash."""
+        checked = _CHECKED.get(call.verb)
+        if checked is None:
+            return proceed(call)
+        compare_sig, symmetric_result = checked
+        self._check(call, _payload_sig(call.obj) if compare_sig else _NO_HASH)
         try:
-            result = call()
+            result = proceed(call)
         except RankFailureError:
             self._prev = _NO_HASH
             raise
         self._prev = _stable_hash(result) if symmetric_result else _NO_HASH
         return result
 
-    # -- checked collectives ------------------------------------------------ #
-    def bcast(self, obj: Any, root: int = 0, tag: str = "generic") -> Any:
-        # Payload signature is root-only by design — not compared.
-        self._check("bcast", tag, None, root, _NO_HASH)
-        return self._run(lambda: self.inner.bcast(obj, root, tag),
-                         symmetric_result=True)
-
-    def reduce(self, obj: Any, op: ReduceOp = ReduceOp.SUM, root: int = 0,
-               tag: str = "generic") -> Any:
-        self._check("reduce", tag, op, root, _payload_sig(obj))
-        return self._run(lambda: self.inner.reduce(obj, op, root, tag),
-                         symmetric_result=False)
-
-    def allreduce(self, obj: Any, op: ReduceOp = ReduceOp.SUM,
-                  tag: str = "generic") -> Any:
-        self._check("allreduce", tag, op, None, _payload_sig(obj))
-        return self._run(lambda: self.inner.allreduce(obj, op, tag),
-                         symmetric_result=True)
-
-    def barrier(self, tag: str = "generic") -> None:
-        self._check("barrier", tag, None, None, "none")
-        return self._run(lambda: self.inner.barrier(tag),
-                         symmetric_result=True)
-
-    def gather(self, obj: Any, root: int = 0, tag: str = "generic"):
-        self._check("gather", tag, None, root, _payload_sig(obj))
-        return self._run(lambda: self.inner.gather(obj, root, tag),
-                         symmetric_result=False)
-
-    def scatter(self, objs: list[Any] | None, root: int = 0,
-                tag: str = "generic") -> Any:
-        self._check("scatter", tag, None, root, _NO_HASH)
-        return self._run(lambda: self.inner.scatter(objs, root, tag),
-                         symmetric_result=False)
-
-    # -- unchecked passthrough --------------------------------------------- #
-    # Point-to-point and recovery verbs are legitimately rank-asymmetric.
-    def send(self, obj: Any, dest: int, tag: str = "generic") -> None:
-        return self.inner.send(obj, dest, tag)
-
-    def recv(self, source: int, tag: str = "generic") -> Any:
-        return self.inner.recv(source, tag)
-
-    def agree(self, failed) -> frozenset[int]:
-        return self.inner.agree(failed)
-
-    def shrink(self, failed) -> "SanitizingComm":
-        """Shrink the wrapped communicator; sanitizing survives on the
-        renumbered communicator with a fresh call counter and result
-        chain (survivors may have been torn out of *adjacent*
-        collectives, so neither is comparable across the failure)."""
-        return SanitizingComm(self.inner.shrink(failed))
+    def shrink(self, failed_world, proceed):
+        """Survivors may have been torn out of *adjacent* collectives, so
+        neither the call counter nor the result chain is comparable
+        across the failure: both start afresh."""
+        shrunk = proceed(failed_world)
+        self.calls = 0
+        self._prev = _NO_HASH
+        return shrunk

@@ -23,10 +23,11 @@ from repro.errors import CommError, RankFailureError
 from repro.par.comm import ReduceOp
 from repro.par.faultcomm import (
     FAULT_EXIT_CODE,
-    FaultInjectingComm,
+    FaultInjector,
     FaultPlan,
     FaultSpec,
 )
+from repro.par.hooks import HookedComm
 from repro.par.mpcomm import run_mpi
 from repro.par.seqcomm import SequentialComm
 from repro.search.search import SearchConfig
@@ -302,10 +303,10 @@ def _firing_calls(plan, plan_rank, n_calls=200):
     comm = SequentialComm()
 
     def record(mode, hang_seconds):
-        fired.append((wrapper.calls, mode))
+        fired.append((injector.calls, mode))
 
-    wrapper = FaultInjectingComm(comm, plan, plan_rank=plan_rank,
-                                 on_fire=record)
+    injector = FaultInjector(plan, plan_rank=plan_rank, on_fire=record)
+    wrapper = HookedComm(comm, [injector])
     for _ in range(n_calls):
         wrapper.barrier()
     return fired
@@ -364,11 +365,12 @@ class TestFaultPlan:
                 return _ShrinkableStub()
 
         plan = FaultPlan.kill(rank=3, at_call=10)
-        wrapper = FaultInjectingComm(_ShrinkableStub(), plan, plan_rank=3,
-                                     on_fire=lambda m, h: None)
+        wrapper = HookedComm(_ShrinkableStub(), [FaultInjector(
+            plan, plan_rank=3, on_fire=lambda m, h: None)])
         for _ in range(4):
             wrapper.barrier()
         shrunk = wrapper.shrink(frozenset())
-        assert isinstance(shrunk, FaultInjectingComm)
-        assert shrunk.plan_rank == 3
-        assert shrunk.calls == 4  # later triggers still line up post-shrink
+        assert isinstance(shrunk, HookedComm)
+        (injector,) = shrunk.hooks
+        assert injector.plan_rank == 3
+        assert injector.calls == 4  # later triggers still line up post-shrink

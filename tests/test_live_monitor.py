@@ -7,7 +7,7 @@ before the bounded-recv timeout triggers recovery; a transiently slow
 rank is classified as a straggler (not a stall) and the run completes
 with the same tree and likelihood as an unmonitored one; and with
 monitoring disabled the telemetry layer costs nothing — no thread, no
-files, no comm wrapper, identical collective traffic.
+files, no comm hook, identical collective traffic.
 """
 
 import json
@@ -17,11 +17,11 @@ import time
 import pytest
 
 from repro.datasets import partitioned_workload
-from repro.engines.launch import _make_telemetry, run_decentralized
+from repro.engines.launch import _hook_comm, _make_obs, run_decentralized
 from repro.obs.heartbeat import (
+    HeartbeatHook,
     HeartbeatState,
     HeartbeatWriter,
-    MonitoredComm,
     heartbeat_path,
     read_heartbeat,
     read_heartbeats,
@@ -42,6 +42,7 @@ from repro.obs.progress import (
     read_progress,
 )
 from repro.par.faultcomm import FaultPlan
+from repro.par.hooks import HookedComm
 from repro.par.seqcomm import SequentialComm
 from repro.search.search import SearchConfig
 from repro.tree.newick import write_newick
@@ -92,7 +93,7 @@ class TestHeartbeatChannel:
 
     def test_monitored_comm_brackets_every_call(self):
         state = HeartbeatState(0)
-        comm = MonitoredComm(SequentialComm(), state)
+        comm = HookedComm(SequentialComm(), [HeartbeatHook(state)])
         assert state.calls == 0
         comm.allreduce(1.0, tag="log likelihood")
         assert state.calls == 1
@@ -114,7 +115,7 @@ class TestHeartbeatChannel:
                 raise RuntimeError("boom")
 
         state = HeartbeatState(0)
-        comm = MonitoredComm(Boom(), state)
+        comm = HookedComm(Boom(), [HeartbeatHook(state)])
         with pytest.raises(RuntimeError):
             comm.allreduce(1.0)
         assert state.calls == 1
@@ -459,15 +460,23 @@ class TestLiveMonitoredRuns:
         assert Monitor(mdir).poll().status == "done"
 
     def test_disabled_monitoring_is_zero_cost(self, setup, tmp_path):
-        """No monitor_dir ⇒ no wrapper, no thread, no files — and
-        byte-for-byte identical collective traffic to a monitored run."""
+        """No monitor_dir ⇒ no hook, no thread, no files — and
+        byte-for-byte identical collective traffic to a monitored run.
+        With no trace, monitor, sanitize or fault settings at all, the
+        hook builder hands back the very transport it was given."""
         parts, taxa, newick = setup
         before = threading.active_count()
         comm = SequentialComm()
-        out_comm, writer, progress = _make_telemetry(comm, {}, 0)
-        assert out_comm is comm  # not wrapped
-        assert writer is None  # no heartbeat thread
-        assert progress is NULL_PROGRESS  # the shared no-op singleton
+        all_off = {"trace_dir": None, "monitor_dir": None,
+                   "sanitize": False, "fault_plan": None}
+        for payload in ({}, all_off):
+            tracer, metrics, _ = _make_obs(payload, 0)
+            out_comm, writer, progress = _hook_comm(comm, payload, tracer,
+                                                    metrics)
+            assert out_comm is comm  # not wrapped
+            assert not isinstance(out_comm, HookedComm)
+            assert writer is None  # no heartbeat thread
+            assert progress is NULL_PROGRESS  # the shared no-op singleton
         assert threading.active_count() == before
 
         plain = run_decentralized(parts, taxa, newick, n_ranks=2,

@@ -23,7 +23,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.instrument import TracingComm
+from repro.obs.instrument import TracingHook
 from repro.obs.metrics import (
     MetricsRegistry,
     histogram_quantile,
@@ -37,6 +37,7 @@ from repro.obs.reconcile import (
 )
 from repro.obs.tracer import NULL_TRACER, Span, Tracer
 from repro.par.comm import ReduceOp, payload_nbytes
+from repro.par.hooks import HookedComm
 from repro.par.seqcomm import SequentialComm
 
 
@@ -344,7 +345,7 @@ class TestPromExport:
 
 
 # ---------------------------------------------------------------------- #
-# instrumentation: TracingComm over a real communicator
+# instrumentation: the tracing hook over a real communicator
 # ---------------------------------------------------------------------- #
 
 
@@ -353,7 +354,7 @@ class TestTracingComm:
     def traced(self):
         tracer = Tracer(rank=0)
         metrics = MetricsRegistry()
-        comm = TracingComm(SequentialComm(), tracer, metrics)
+        comm = HookedComm(SequentialComm(), [TracingHook(tracer, metrics)])
         return comm, tracer, metrics
 
     def test_results_identical_to_inner(self, traced):

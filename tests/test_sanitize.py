@@ -1,4 +1,4 @@
-"""SanitizingComm: runtime cross-rank collective-consistency checks.
+"""The Sanitizer hook: runtime cross-rank collective-consistency checks.
 
 The dynamic half of replicheck.  These tests fork real processes:
 
@@ -30,7 +30,8 @@ from repro.likelihood.partitioned import PartitionedLikelihood
 from repro.par.comm import ReduceOp
 from repro.par.faultcomm import FaultPlan
 from repro.par.mpcomm import run_mpi
-from repro.par.sanitize import SANITIZE_TAG, SanitizingComm
+from repro.par.hooks import HookedComm
+from repro.par.sanitize import SANITIZE_TAG, Sanitizer
 from repro.par.seqcomm import SequentialComm
 from repro.search.search import SearchConfig, hill_climb
 from repro.tree.newick import parse_newick, write_newick
@@ -91,11 +92,12 @@ class TestConsistentRun:
             assert SANITIZE_TAG not in res.bytes_by_tag
 
     def test_sequential_comm_passthrough(self):
-        comm = SanitizingComm(SequentialComm())
+        sanitizer = Sanitizer()
+        comm = HookedComm(SequentialComm(), [sanitizer])
         assert comm.allreduce(3.0, tag="x") == 3.0
         assert comm.bcast("obj", root=0) == "obj"
         assert comm.gather(1, root=0) == [1]
-        assert comm.calls == 3
+        assert sanitizer.calls == 3
 
 
 # --------------------------------------------------------------------- #
@@ -103,7 +105,7 @@ class TestConsistentRun:
 # --------------------------------------------------------------------- #
 
 def _diverge_tag(comm, _):
-    comm = SanitizingComm(comm)
+    comm = HookedComm(comm, [Sanitizer()])
     comm.allreduce(1.0, tag="model parameters")
     tag = ("model parameters" if comm.rank == 0
            else "traversal descriptor")
@@ -112,7 +114,7 @@ def _diverge_tag(comm, _):
 
 
 def _diverge_verb(comm, _):
-    comm = SanitizingComm(comm)
+    comm = HookedComm(comm, [Sanitizer()])
     comm.allreduce(1.0, tag="a")
     # replicheck: ignore[R003] -- this IS the bad pattern: the sanitizer under test must detect the verb mismatch
     if comm.rank == 0:
@@ -123,25 +125,26 @@ def _diverge_verb(comm, _):
 
 
 def _diverge_op(comm, _):
-    comm = SanitizingComm(comm)
+    comm = HookedComm(comm, [Sanitizer()])
     op = ReduceOp.SUM if comm.rank == 0 else ReduceOp.MAX
     comm.allreduce(1.0, op=op, tag="a")
     return "unreachable"
 
 
 def _diverge_shape(comm, _):
-    comm = SanitizingComm(comm)
+    comm = HookedComm(comm, [Sanitizer()])
     payload = np.zeros(3 if comm.rank == 0 else 4)
     comm.allreduce(payload, tag="a")
     return "unreachable"
 
 
 def _diverge_prev_result(comm, _):
-    comm = SanitizingComm(comm)
+    sanitizer = Sanitizer()
+    comm = HookedComm(comm, [sanitizer])
     total = comm.allreduce(1.0, tag="a")
     if comm.rank == 1:
         total += 1e-9  # simulate a bitwise result drift on one rank
-    comm._prev = __import__(
+    sanitizer._prev = __import__(
         "repro.par.sanitize", fromlist=["_stable_hash"]
     )._stable_hash(total)
     comm.allreduce(2.0, tag="a")
@@ -185,7 +188,7 @@ class TestStructuralDivergence:
 # --------------------------------------------------------------------- #
 
 def _divergent_rng_stream(comm, payload):
-    comm = SanitizingComm(comm)
+    comm = HookedComm(comm, [Sanitizer()])
     # rank 1 is forced onto a different RNG stream: its replica builds a
     # different starting topology, so its collective sequence drifts
     # from rank 0's during branch smoothing (Newton iteration counts

@@ -16,10 +16,11 @@ from repro.engines.launch import run_decentralized, run_forkjoin
 from repro.errors import CommError, MasterLostError
 from repro.obs.registry import RunRegistry, format_attempt_chain
 from repro.par.faultcomm import (
-    FaultInjectingComm,
+    FaultInjector,
     FaultPlan,
     FaultSpec,
 )
+from repro.par.hooks import HookedComm
 from repro.par.seqcomm import SequentialComm
 from repro.search.search import SearchConfig
 from repro.supervise import (
@@ -160,8 +161,8 @@ class _AgreeableComm(SequentialComm):
 
 class TestRecoveryScopedFaults:
     def _wrap(self, plan, fired):
-        return FaultInjectingComm(_AgreeableComm(), plan, plan_rank=0,
-                                  on_fire=lambda m, h: fired.append(m))
+        return HookedComm(_AgreeableComm(), [FaultInjector(
+            plan, plan_rank=0, on_fire=lambda m, h: fired.append(m))])
 
     def test_recovery_spec_is_silent_during_normal_calls(self):
         fired: list[str] = []
